@@ -7,7 +7,10 @@ import (
 
 	"serd/internal/datagen"
 	"serd/internal/dataset"
+	"serd/internal/gmm"
 	"serd/internal/parallel"
+	"serd/internal/simfn"
+	"serd/internal/stats"
 )
 
 // benchFixture mirrors fixture for benchmarks (which get no *testing.T).
@@ -125,18 +128,104 @@ func BenchmarkDeltaVectors(b *testing.B) {
 	}
 }
 
-func BenchmarkReject(b *testing.B) {
+// Benchmark sinks keep the compiler from discarding a measured call.
+var (
+	benchSinkF    float64
+	benchSinkPrep any
+)
+
+// activeDistState is benchDistState with O_syn activated by committing
+// deltas until both accumulators fit, plus one further candidate delta.
+func activeDistState(b *testing.B) (*distState, delta, *rand.Rand) {
+	b.Helper()
 	d, er, r := benchDistState(b, nil)
-	// Activate O_syn by committing deltas until both accumulators fit.
 	for i := 0; i < er.B.Len() && !d.active(); i++ {
 		d.commit(d.deltaVectors(er.B.Entities[i], er.A, r))
 	}
 	if !d.active() {
 		b.Fatal("accumulators never activated")
 	}
-	dl := d.deltaVectors(er.B.Entities[0], er.A, r)
+	return d, d.deltaVectors(er.B.Entities[0], er.A, r), r
+}
+
+func BenchmarkReject(b *testing.B) {
+	d, dl, r := activeDistState(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.reject(dl, r)
+	}
+}
+
+// BenchmarkJSDStripedPair times Eq. 10's before/after estimate pair on the
+// O_syn joints reject builds for one candidate.
+func BenchmarkJSDStripedPair(b *testing.B) {
+	d, dl, _ := activeDistState(b)
+	snapM, snapN := d.accM.Snapshot(), d.accN.Snapshot()
+	if len(dl.pos) > 0 {
+		if err := snapM.Add(dl.pos); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if len(dl.neg) > 0 {
+		if err := snapN.Add(dl.neg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before, okB := d.joint(d.accM, d.accN, d.nPos, d.nNeg)
+	after, okA := d.joint(snapM, snapN, d.nPos+len(dl.pos), d.nNeg+len(dl.neg))
+	if !okB || !okA {
+		b.Fatal("O_syn joints not estimable")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSinkF, _ = gmm.JSDStripedPair(before, after, d.oReal, d.opts.JSDSamples, int64(i), nil)
+	}
+}
+
+// BenchmarkMVNLogPDF times one component density of the learned
+// M-distribution at vectors drawn from the O-distribution.
+func BenchmarkMVNLogPDF(b *testing.B) {
+	gen, err := benchFixture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	j, err := LearnDistributions(context.Background(), gen.ER, LearnOptions{Rand: rand.New(rand.NewSource(6))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := j.M.Comps[0]
+	mvn, err := stats.NewMVN(c.Mean, c.Cov)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	xs := make([][]float64, 64)
+	for i := range xs {
+		xs[i], _ = j.Sample(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSinkF = mvn.LogPDF(xs[i%len(xs)])
+	}
+}
+
+// BenchmarkQGramPrep times the packed 3-gram preprocessing of every
+// textual value of the fixture's A relation, per value.
+func BenchmarkQGramPrep(b *testing.B) {
+	gen, err := benchFixture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	qg := simfn.QGramJaccard{Q: 3, Fold: true}
+	var vals []string
+	for _, e := range gen.ER.A.Entities {
+		vals = append(vals, e.Values[0], e.Values[1], e.Values[2])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSinkPrep = qg.Prep(vals[i%len(vals)])
 	}
 }

@@ -136,11 +136,11 @@ func (d *distState) reject(dl delta, r *rand.Rand) bool {
 		return false
 	}
 	// Common random numbers: the same seed stripes the same sample stream
-	// over both estimates, so Monte-Carlo noise cancels between them. The
-	// striped estimator is bit-identical at any worker count.
+	// over both estimates, so Monte-Carlo noise cancels between them; the
+	// pair draws the shared O_real samples once. The striped estimator is
+	// bit-identical at any worker count.
 	seed := r.Int63()
-	jsdBefore := gmm.JSDStriped(before, d.oReal, d.opts.JSDSamples, seed, d.pool)
-	jsdAfter := gmm.JSDStriped(after, d.oReal, d.opts.JSDSamples, seed, d.pool)
+	jsdBefore, jsdAfter := gmm.JSDStripedPair(before, after, d.oReal, d.opts.JSDSamples, seed, d.pool)
 	// The running JSD(O_syn, O_real) is the pipeline's convergence signal;
 	// expose it as a gauge so the live inspector shows the trajectory.
 	d.opts.Metrics.Set("core.s2.jsd", jsdBefore)

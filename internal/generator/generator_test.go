@@ -9,7 +9,9 @@ import (
 
 	"serd/internal/datagen"
 	"serd/internal/dataset"
+	"serd/internal/gmm"
 	"serd/internal/journal"
+	"serd/internal/parallel"
 )
 
 func fixture(t *testing.T) *dataset.ER {
@@ -202,6 +204,36 @@ func TestGeneratorValidateParams(t *testing.T) {
 	for _, pb := range []PrivBayes{{Epsilon: -1}, {Epsilon: 1, Delta: 1.5}, {Epsilon: 1, Bins: 1}} {
 		if _, err := pb.Fit(context.Background(), real, fitOpts(7)); err == nil {
 			t.Errorf("PrivBayes%+v: Fit accepted invalid parameters", pb)
+		}
+	}
+}
+
+// TestJSDStripedPairWithPrivBayesReal holds the shared-sample Eq. 10 pair
+// bit-identical to two JSDStriped calls when O_real is a PrivBayes
+// distribution — a Dist whose sampler consumes the RNG differently from a
+// *gmm.Joint — on every pool shape.
+func TestJSDStripedPairWithPrivBayesReal(t *testing.T) {
+	real := fixture(t)
+	oReal, err := (PrivBayes{Epsilon: 2}).Fit(context.Background(), real, fitOpts(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var syn [2]*gmm.Joint
+	for i := range syn {
+		d, err := (GMM{}).Fit(context.Background(), real, fitOpts(int64(11+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		syn[i] = d.(*gmm.Joint)
+	}
+	for _, n := range []int{31, 96, 200} {
+		want1 := gmm.JSDStriped(syn[0], oReal, n, 5, nil)
+		want2 := gmm.JSDStriped(syn[1], oReal, n, 5, nil)
+		for _, pool := range []*parallel.Pool{nil, parallel.New(1, nil), parallel.New(4, nil)} {
+			got1, got2 := gmm.JSDStripedPair(syn[0], syn[1], oReal, n, 5, pool)
+			if got1 != want1 || got2 != want2 {
+				t.Errorf("n=%d workers=%d: pair = (%v, %v), separate calls = (%v, %v)", n, pool.Workers(), got1, got2, want1, want2)
+			}
 		}
 	}
 }

@@ -272,3 +272,25 @@ func TestFitBICPrefersSimplerModelOnSmallData(t *testing.T) {
 		t.Errorf("BIC chose %d components for clearly bimodal data", len(m.Comps))
 	}
 }
+
+// TestLogPDFDoesNotAllocate pins the density hot path of the Eq. 10 JSD
+// estimator allocation-free: mixture and joint log-densities keep their
+// per-component scratch on the stack.
+func TestLogPDFDoesNotAllocate(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	m, err := Fit(context.Background(), twoClusterData(r, 200), 2, FitOptions{Rand: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := NewJoint(m, m.Clone(), 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.4, 0.6}
+	if n := testing.AllocsPerRun(100, func() { m.LogPDF(x) }); n != 0 {
+		t.Errorf("Model.LogPDF allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { j.LogPDF(x) }); n != 0 {
+		t.Errorf("Joint.LogPDF allocates %v times per call, want 0", n)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 
 	"serd/internal/parallel"
 )
@@ -115,17 +116,26 @@ func JSD(p, q Dist, n int, r *rand.Rand) float64 {
 // halfSum accumulates n samples of log a/m, m = (a+b)/2, drawn from a —
 // one direction of the JSD estimator, undivided.
 func halfSum(a, b Dist, n int, r *rand.Rand) float64 {
-	sum := 0.0
+	var sum [1]float64
+	halfSums(a, []Dist{b}, n, r, sum[:])
+	return sum[0]
+}
+
+// halfSums is halfSum(a, bs[i], n, r) for every bs[i] at once, added into
+// sums[i]: each sample x ~ a and its log a(x) are drawn and evaluated once
+// and scored against every b in the same order halfSum would.
+func halfSums(a Dist, bs []Dist, n int, r *rand.Rand, sums []float64) {
 	for i := 0; i < n; i++ {
 		x, _ := a.Sample(r)
 		la := a.LogPDF(x)
-		lb := b.LogPDF(x)
-		// log m = log((exp la + exp lb)/2)
-		hi := math.Max(la, lb)
-		lm := hi + math.Log(math.Exp(la-hi)+math.Exp(lb-hi)) - math.Ln2
-		sum += la - lm
+		for j, b := range bs {
+			lb := b.LogPDF(x)
+			// log m = log((exp la + exp lb)/2)
+			hi := math.Max(la, lb)
+			lm := hi + math.Log(math.Exp(la-hi)+math.Exp(lb-hi)) - math.Ln2
+			sums[j] += la - lm
+		}
 	}
-	return sum
 }
 
 // jsdStripe is the fixed sample count per JSDStriped RNG substream. The
@@ -142,32 +152,70 @@ const jsdStripe = 32
 // calls; substream i then draws the same underlying sample stream in each,
 // and the Monte-Carlo noise cancels exactly as with the serial estimator.
 func JSDStriped(p, q Dist, n int, seed int64, pool *parallel.Pool) float64 {
+	var jsd [1]float64
+	jsdStriped([]Dist{p}, q, n, seed, pool, jsd[:])
+	return jsd[0]
+}
+
+// JSDStripedPair returns JSDStriped(p1, q, n, seed, pool) and
+// JSDStriped(p2, q, n, seed, pool), bit for bit, in one pass — the common
+// random numbers pair of Eq. 10's before/after check. A *Joint consumes
+// the same RNG draws per sample whatever its parameters, so after the p
+// halves both calls' substreams stand at the same state and their q halves
+// see identical samples: each q-sample x and q.LogPDF(x) are computed once
+// and scored against both p1 and p2.
+func JSDStripedPair(p1, p2 *Joint, q Dist, n int, seed int64, pool *parallel.Pool) (jsd1, jsd2 float64) {
+	var jsd [2]float64
+	jsdStriped([]Dist{p1, p2}, q, n, seed, pool, jsd[:])
+	return jsd[0], jsd[1]
+}
+
+// stripeRands recycles the stripes' generators. Reseeding a *rand.Rand in
+// place puts it in exactly the state rand.New(rand.NewSource(seed)) starts
+// in, without allocating a fresh ~5 KB source per substream.
+var stripeRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// jsdStriped is the stripe kernel behind JSDStriped and JSDStripedPair: it
+// stores JSDStriped(ps[i], q, n, seed, pool) into out[i]. Each p draws its
+// half from the stripe's substream, reseeded per p; the q half continues
+// from where the last p's draws stopped, which is where every p's draws
+// stopped when all of ps consume the same draws per sample (as *Joints
+// do) — the condition that makes sharing it exact.
+func jsdStriped(ps []Dist, q Dist, n int, seed int64, pool *parallel.Pool, out []float64) {
 	if n <= 0 {
 		n = 256
 	}
 	stripes := (n + jsdStripe - 1) / jsdStripe
 	seeds := parallel.SplitSeeds(seed, stripes)
-	sumsP := make([]float64, stripes)
-	sumsQ := make([]float64, stripes)
+	np := len(ps)
+	// Per-stripe sums, stripe-major: stripe s owns [s*np, (s+1)*np).
+	sumsP := make([]float64, stripes*np)
+	sumsQ := make([]float64, stripes*np)
 	pool.Run("gmm.jsd", stripes, func(s int) {
-		r := rand.New(rand.NewSource(seeds[s]))
 		count := jsdStripe
 		if s == stripes-1 {
 			count = n - s*jsdStripe
 		}
-		sumsP[s] = halfSum(p, q, count, r)
-		sumsQ[s] = halfSum(q, p, count, r)
+		r := stripeRands.Get().(*rand.Rand)
+		defer stripeRands.Put(r)
+		for i, p := range ps {
+			r.Seed(seeds[s])
+			sumsP[s*np+i] = halfSum(p, q, count, r)
+		}
+		halfSums(q, ps, count, r, sumsQ[s*np:(s+1)*np])
 	})
-	var sp, sq float64
-	for s := 0; s < stripes; s++ {
-		sp += sumsP[s]
-		sq += sumsQ[s]
+	for i := range ps {
+		var sp, sq float64
+		for s := 0; s < stripes; s++ {
+			sp += sumsP[s*np+i]
+			sq += sumsQ[s*np+i]
+		}
+		jsd := 0.5*(sp/float64(n)) + 0.5*(sq/float64(n))
+		if jsd < 0 {
+			jsd = 0
+		}
+		out[i] = jsd
 	}
-	jsd := 0.5*(sp/float64(n)) + 0.5*(sq/float64(n))
-	if jsd < 0 {
-		return 0
-	}
-	return jsd
 }
 
 // KL estimates the Kullback-Leibler divergence KL(p || q) between two

@@ -25,6 +25,47 @@ type Component struct {
 	Mean   []float64
 	Cov    *stats.Mat
 	dist   *stats.MVN
+	logW   float64 // log(Weight)
+}
+
+// newComponent builds a component with its cached density fields. The
+// covariance is factorized as given and, if that fails, regularized in
+// place with DefaultRidge. Every constructor (New, ModelFromState) goes
+// through here, so the caches always match Weight and Cov.
+func newComponent(weight float64, mean []float64, cov *stats.Mat) (Component, error) {
+	dist, err := stats.NewMVN(mean, cov.Clone())
+	if err != nil {
+		stats.RegularizeCovariance(cov, DefaultRidge)
+		dist, err = stats.NewMVN(mean, cov)
+		if err != nil {
+			return Component{}, err
+		}
+	}
+	return Component{Weight: weight, Mean: mean, Cov: cov, dist: dist, logW: math.Log(weight)}, nil
+}
+
+// maxStackComps is the component count up to which the log-density
+// methods keep their per-component scratch on the stack.
+const maxStackComps = 16
+
+// compLogs fills the per-component log densities log(w_i) + log N_i(x)
+// into a stack buffer (heap only past maxStackComps components) and
+// returns them with their maximum.
+func (m *Model) compLogs(x []float64, buf *[maxStackComps]float64) ([]float64, float64) {
+	logs := buf[:0]
+	if len(m.Comps) > maxStackComps {
+		logs = make([]float64, 0, len(m.Comps))
+	}
+	logs = logs[:len(m.Comps)]
+	maxLog := math.Inf(-1)
+	for i := range m.Comps {
+		c := &m.Comps[i]
+		logs[i] = c.logW + c.dist.LogPDF(x)
+		if logs[i] > maxLog {
+			maxLog = logs[i]
+		}
+	}
+	return logs, maxLog
 }
 
 // Model is a Gaussian mixture over similarity vectors.
@@ -53,19 +94,11 @@ func New(comps []Component) (*Model, error) {
 	}
 	m := &Model{Comps: make([]Component, len(comps)), dim: dim}
 	for i, c := range comps {
-		c.Weight /= total
-		cov := c.Cov.Clone()
-		dist, err := stats.NewMVN(c.Mean, cov.Clone())
+		comp, err := newComponent(c.Weight/total, c.Mean, c.Cov.Clone())
 		if err != nil {
-			stats.RegularizeCovariance(cov, DefaultRidge)
-			dist, err = stats.NewMVN(c.Mean, cov)
-			if err != nil {
-				return nil, fmt.Errorf("gmm: component %d covariance: %w", i, err)
-			}
+			return nil, fmt.Errorf("gmm: component %d covariance: %w", i, err)
 		}
-		c.Cov = cov
-		c.dist = dist
-		m.Comps[i] = c
+		m.Comps[i] = comp
 	}
 	return m, nil
 }
@@ -76,14 +109,8 @@ func (m *Model) Dim() int { return m.dim }
 // LogPDF returns the log density of the mixture at x.
 func (m *Model) LogPDF(x []float64) float64 {
 	// log-sum-exp over components for numerical stability.
-	maxLog := math.Inf(-1)
-	logs := make([]float64, len(m.Comps))
-	for i, c := range m.Comps {
-		logs[i] = math.Log(c.Weight) + c.dist.LogPDF(x)
-		if logs[i] > maxLog {
-			maxLog = logs[i]
-		}
-	}
+	var buf [maxStackComps]float64
+	logs, maxLog := m.compLogs(x, &buf)
 	if math.IsInf(maxLog, -1) {
 		return maxLog
 	}
@@ -127,14 +154,8 @@ func (m *Model) SampleClamped(r *rand.Rand) []float64 {
 // Responsibilities returns γ_i = P(component i | x) for each component
 // (Eq. 5, evaluated at the current parameters).
 func (m *Model) Responsibilities(x []float64) []float64 {
-	logs := make([]float64, len(m.Comps))
-	maxLog := math.Inf(-1)
-	for i, c := range m.Comps {
-		logs[i] = math.Log(c.Weight) + c.dist.LogPDF(x)
-		if logs[i] > maxLog {
-			maxLog = logs[i]
-		}
-	}
+	var buf [maxStackComps]float64
+	logs, maxLog := m.compLogs(x, &buf)
 	out := make([]float64, len(m.Comps))
 	if math.IsInf(maxLog, -1) {
 		for i := range out {
@@ -158,14 +179,8 @@ func (m *Model) Responsibilities(x []float64) []float64 {
 // quantities from a single pass over the component log-densities, bit
 // identical to Responsibilities followed by LogPDF.
 func (m *Model) RespLogPDF(x, dst []float64) float64 {
-	logs := make([]float64, len(m.Comps))
-	maxLog := math.Inf(-1)
-	for i, c := range m.Comps {
-		logs[i] = math.Log(c.Weight) + c.dist.LogPDF(x)
-		if logs[i] > maxLog {
-			maxLog = logs[i]
-		}
-	}
+	var buf [maxStackComps]float64
+	logs, maxLog := m.compLogs(x, &buf)
 	if math.IsInf(maxLog, -1) {
 		for i := range dst {
 			dst[i] = 1 / float64(len(dst))

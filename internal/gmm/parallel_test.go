@@ -71,6 +71,76 @@ func TestJSDStripedTracksSerialJSD(t *testing.T) {
 	}
 }
 
+// refJSDStriped is the striped estimator written out directly: a fresh
+// generator per stripe, the p half then the q half from it, each term
+// log a/m summed in sample order.
+func refJSDStriped(p, q Dist, n int, seed int64) float64 {
+	half := func(a, b Dist, count int, r *rand.Rand) float64 {
+		sum := 0.0
+		for i := 0; i < count; i++ {
+			x, _ := a.Sample(r)
+			la, lb := a.LogPDF(x), b.LogPDF(x)
+			hi := math.Max(la, lb)
+			sum += la - (hi + math.Log(math.Exp(la-hi)+math.Exp(lb-hi)) - math.Ln2)
+		}
+		return sum
+	}
+	stripes := (n + jsdStripe - 1) / jsdStripe
+	seeds := parallel.SplitSeeds(seed, stripes)
+	var sp, sq float64
+	for s := 0; s < stripes; s++ {
+		count := min(jsdStripe, n-s*jsdStripe)
+		r := rand.New(rand.NewSource(seeds[s]))
+		sp += half(p, q, count, r)
+		sq += half(q, p, count, r)
+	}
+	return max(0, 0.5*(sp/float64(n))+0.5*(sq/float64(n)))
+}
+
+// TestJSDStripedMatchesReference holds the shared stripe kernel (recycled
+// generators, multi-p q half) bit-identical to the direct estimator.
+func TestJSDStripedMatchesReference(t *testing.T) {
+	p, q := testJoints(t)
+	for _, n := range []int{1, 31, 32, 33, 200} {
+		if got, want := JSDStriped(p, q, n, 4242, parallel.New(2, nil)), refJSDStriped(p, q, n, 4242); got != want {
+			t.Errorf("n=%d: JSDStriped = %v, reference = %v", n, got, want)
+		}
+	}
+}
+
+// checkJSDPair holds JSDStripedPair(p1, p2, q) bit-identical to two
+// JSDStriped calls on every pool shape.
+func checkJSDPair(t *testing.T, p1, p2 *Joint, q Dist) {
+	t.Helper()
+	for _, n := range []int{1, 31, 33, 200} {
+		want1 := JSDStriped(p1, q, n, 777, nil)
+		want2 := JSDStriped(p2, q, n, 777, nil)
+		for _, pool := range []*parallel.Pool{nil, parallel.New(1, nil), parallel.New(4, nil)} {
+			got1, got2 := JSDStripedPair(p1, p2, q, n, 777, pool)
+			if got1 != want1 || got2 != want2 {
+				t.Errorf("n=%d workers=%d: pair = (%v, %v), separate calls = (%v, %v)", n, pool.Workers(), got1, got2, want1, want2)
+			}
+		}
+	}
+}
+
+// TestJSDStripedPairMatchesSeparateCalls covers the shared-sample pair on
+// GMM joints, including a p2 with a different component count than p1.
+func TestJSDStripedPairMatchesSeparateCalls(t *testing.T) {
+	p, q := testJoints(t)
+	r := rand.New(rand.NewSource(21))
+	one, err := Fit(context.Background(), twoClusterData(r, 120), 1, FitOptions{Rand: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := NewJoint(one, q.N, 0.55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkJSDPair(t, p, q, single)
+	checkJSDPair(t, p, single, q)
+}
+
 // TestFitPoolInvariant pins EM's contract that the E-step pool is purely an
 // execution parameter: fits at any worker count are bit-identical.
 func TestFitPoolInvariant(t *testing.T) {

@@ -60,9 +60,9 @@ func (m *Model) State() *ModelState {
 // ModelFromState restores a model exactly. The stored weights were already
 // normalized when the model was built, so — unlike New — no renormalization
 // happens here: dividing by a sum that is one-ULP off 1.0 would change the
-// weight bits and break resume equivalence. The MVN construction mirrors
-// New's (factorize as given, regularize with DefaultRidge on failure) so the
-// per-component distributions come out bit-identical too.
+// weight bits and break resume equivalence. Components are built by the
+// same newComponent as New's, so the per-component distributions and their
+// cached terms come out bit-identical too.
 func ModelFromState(st *ModelState) (*Model, error) {
 	if st == nil || len(st.Comps) == 0 {
 		return nil, errors.New("gmm: empty model state")
@@ -78,15 +78,11 @@ func ModelFromState(st *ModelState) (*Model, error) {
 		if cov.Rows != dim || cov.Cols != dim {
 			return nil, fmt.Errorf("gmm: state component %d covariance is %dx%d, want %dx%d", i, cov.Rows, cov.Cols, dim, dim)
 		}
-		dist, err := stats.NewMVN(mean, cov.Clone())
+		comp, err := newComponent(cs.Weight, mean, cov)
 		if err != nil {
-			stats.RegularizeCovariance(cov, DefaultRidge)
-			dist, err = stats.NewMVN(mean, cov)
-			if err != nil {
-				return nil, fmt.Errorf("gmm: state component %d covariance: %w", i, err)
-			}
+			return nil, fmt.Errorf("gmm: state component %d covariance: %w", i, err)
 		}
-		m.Comps[i] = Component{Weight: cs.Weight, Mean: mean, Cov: cov, dist: dist}
+		m.Comps[i] = comp
 	}
 	return m, nil
 }

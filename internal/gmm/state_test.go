@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"serd/internal/stats"
 )
 
 // fittedForState fits a small 2-D mixture the way the pipeline does, so
@@ -132,5 +134,35 @@ func TestStateValidation(t *testing.T) {
 	bad.Comps[0].Cov = bad.Comps[0].Cov[:1] // truncated covariance
 	if _, err := ModelFromState(bad); err == nil {
 		t.Error("truncated covariance accepted")
+	}
+}
+
+// TestFromStateRebuildsCaches pins the single component constructor: a
+// model restored from its State carries the same cached log-weights and
+// MVN normalizers as the original, field for field, and so the same
+// LogPDF bits — for a fitted model and for one whose singular covariance
+// took the DefaultRidge path.
+func TestFromStateRebuildsCaches(t *testing.T) {
+	fitted, xs := fittedForState(t, 17, 60)
+	singular, err := New([]Component{
+		{Weight: 3, Mean: []float64{0.2, 0.2}, Cov: stats.MatFromRows([][]float64{{1, 1}, {1, 1}})},
+		{Weight: 1, Mean: []float64{0.8, 0.5}, Cov: stats.MatFromRows([][]float64{{0.05, 0}, {0, 0.02}})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Model{"fitted": fitted, "regularized": singular} {
+		restored, err := ModelFromState(m.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(restored.Comps, m.Comps) {
+			t.Errorf("%s: restored components (caches included) differ from the original", name)
+		}
+		for i, x := range xs {
+			if a, b := m.LogPDF(x), restored.LogPDF(x); a != b {
+				t.Fatalf("%s: LogPDF(%d): %v != %v", name, i, a, b)
+			}
+		}
 	}
 }

@@ -5,12 +5,15 @@ import (
 	"testing"
 )
 
-// prepCases stresses the sorted-set representation: unicode (multi-byte
-// runes), strings shorter than q, repeats, empty strings, whitespace.
+// prepCases stresses the sorted-set representations: unicode (multi-byte
+// runes), strings shorter than q, repeats, empty strings, whitespace, and
+// invalid UTF-8 next to a literal U+FFFD (which ranging over a string
+// decodes identically, but whose bytes differ).
 var prepCases = []string{
 	"", " ", "a", "ab", "abc", "abcabc", "hello world", "Hello World",
 	"résumé café", "日本語テキスト", "a b\tc\nd", "   spaced   out   ",
 	"aaaaaaa", "the quick brown fox", "ñ", "née naïve",
+	"\xff", "a\xffb", "\ufffd", "a\ufffdb", "\xff\xfe", "\xe2\x82", "日", "日本",
 }
 
 // TestPreprocessorBitEquality is the Preprocessor contract:
@@ -83,4 +86,49 @@ func TestSortedGramsMatchQGramsMap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stringJaccard is the reference q-gram Jaccard over sorted substring
+// grams — the representation packedQGrams must reproduce bit for bit.
+func stringJaccard(f QGramJaccard, a, b string) float64 {
+	return jaccardSorted(sortedQGrams(f.fold(a), f.q()), sortedQGrams(f.fold(b), f.q()))
+}
+
+// TestPackedGramsMatchStrings checks the packed representation against the
+// substring one: the same set size for every value and the same Jaccard
+// for every pair, at every packed q.
+func TestPackedGramsMatchStrings(t *testing.T) {
+	for q := 1; q <= maxPackedQ; q++ {
+		for _, fold := range []bool{false, true} {
+			f := QGramJaccard{Q: q, Fold: fold}
+			for _, a := range prepCases {
+				if got, want := len(packedQGrams(f.fold(a), q)), len(sortedQGrams(f.fold(a), q)); got != want {
+					t.Errorf("q=%d fold=%v %q: %d packed grams, %d string grams", q, fold, a, got, want)
+				}
+				for _, b := range prepCases {
+					if got, want := f.Sim(a, b), stringJaccard(f, a, b); got != want {
+						t.Errorf("q=%d fold=%v Sim(%q, %q) = %v, string grams give %v", q, fold, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzQGramPackedMatchesStrings holds the packed q-gram Jaccard equal to
+// the substring form on arbitrary byte strings, valid UTF-8 or not.
+func FuzzQGramPackedMatchesStrings(f *testing.F) {
+	for i, a := range prepCases {
+		f.Add(a, prepCases[(i+1)%len(prepCases)], uint8(i))
+	}
+	f.Add("a\xffb", "a\ufffdb", uint8(1))
+	f.Fuzz(func(t *testing.T, a, b string, mode uint8) {
+		fn := QGramJaccard{Q: 1 + int(mode)%maxPackedQ, Fold: mode&4 != 0}
+		if got, want := fn.Sim(a, b), stringJaccard(fn, a, b); got != want {
+			t.Fatalf("%s fold=%v Sim(%q, %q) = %v, string grams give %v", fn.Name(), fn.Fold, a, b, got, want)
+		}
+		if got, want := fn.SimPrepped(fn.Prep(a), fn.Prep(b)), fn.Sim(a, b); got != want {
+			t.Fatalf("%s fold=%v SimPrepped(%q, %q) = %v, Sim = %v", fn.Name(), fn.Fold, a, b, got, want)
+		}
+	})
 }

@@ -9,11 +9,14 @@
 package simfn
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Func computes a similarity score in [0, 1] between two attribute values.
@@ -84,22 +87,36 @@ func (f QGramJaccard) q() int {
 
 // Sim implements Func. Both-empty inputs compare equal (similarity 1).
 func (f QGramJaccard) Sim(a, b string) float64 {
-	return jaccardSorted(f.grams(a), f.grams(b))
+	a, b, q := f.fold(a), f.fold(b), f.q()
+	if q > maxPackedQ {
+		return jaccardSorted(sortedQGrams(a, q), sortedQGrams(b, q))
+	}
+	return jaccardSorted(packedQGrams(a, q), packedQGrams(b, q))
 }
 
-// Prep implements Preprocessor: the case-folded, sorted q-gram set.
-func (f QGramJaccard) Prep(v string) any { return f.grams(v) }
+// Prep implements Preprocessor: the case-folded, sorted q-gram set —
+// packed []uint64 grams for q <= maxPackedQ, []string grams above.
+func (f QGramJaccard) Prep(v string) any {
+	v, q := f.fold(v), f.q()
+	if q > maxPackedQ {
+		return sortedQGrams(v, q)
+	}
+	return packedQGrams(v, q)
+}
 
 // SimPrepped implements Preprocessor.
 func (f QGramJaccard) SimPrepped(a, b any) float64 {
-	return jaccardSorted(a.([]string), b.([]string))
+	if f.q() > maxPackedQ {
+		return jaccardSorted(a.([]string), b.([]string))
+	}
+	return jaccardSorted(a.([]uint64), b.([]uint64))
 }
 
-func (f QGramJaccard) grams(s string) []string {
+func (f QGramJaccard) fold(s string) string {
 	if f.Fold {
-		s = strings.ToLower(s)
+		return strings.ToLower(s)
 	}
-	return sortedQGrams(s, f.q())
+	return s
 }
 
 // QGrams returns the multiset-collapsed set of q-grams of s, computed over
@@ -124,8 +141,9 @@ func QGrams(s string, q int) map[string]struct{} {
 // sortedQGrams returns the multiset-collapsed q-grams of s as a sorted,
 // deduplicated slice with the same semantics as QGrams. Each gram is a
 // rune-aligned substring of s (no per-gram copy), and sorted slices
-// intersect by merge in jaccardSorted without hashing — the representation
-// behind the Sim hot path and Preprocessor caching.
+// intersect by merge in jaccardSorted without hashing. It is the
+// representation for q > maxPackedQ and the reference packedQGrams is
+// tested against.
 func sortedQGrams(s string, q int) []string {
 	if s == "" {
 		return nil
@@ -144,21 +162,69 @@ func sortedQGrams(s string, q int) []string {
 	for i := 0; i+q <= n; i++ {
 		out = append(out, s[idx[i]:idx[i+q]])
 	}
-	sort.Strings(out)
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// Packed q-grams. A gram of up to maxPackedQ rune positions packs into a
+// uint64, runeBits bits per position. A position holds rune+1 for a valid
+// rune, invalidBase+b for a byte b that is not valid UTF-8 (ranging over a
+// string decodes it as a width-1 U+FFFD, which must not collide with a
+// literal U+FFFD), and 0 when the position is absent. Absent positions are
+// the leading fields of the whole-string gram of a value shorter than q;
+// they keep that gram distinct from every full gram. The packing is
+// injective on the rune-aligned substrings sortedQGrams produces, so set
+// sizes, intersections and Jaccard values match the string form bit for
+// bit.
+const (
+	maxPackedQ  = 3
+	runeBits    = 21
+	invalidBase = utf8.MaxRune + 2
+)
+
+// packedQGrams is sortedQGrams over packed grams: the sorted,
+// deduplicated set of q-grams of s for q <= maxPackedQ.
+func packedQGrams(s string, q int) []uint64 {
+	if s == "" {
+		return nil
 	}
-	return out[:w]
+	// Per-rune codes; most values are short, so the buffer stays on the
+	// stack.
+	var buf [64]uint64
+	codes := buf[:0]
+	for i := 0; i < len(s); {
+		r, w := utf8.DecodeRuneInString(s[i:])
+		c := uint64(r) + 1
+		if r == utf8.RuneError && w == 1 {
+			c = invalidBase + uint64(s[i])
+		}
+		codes = append(codes, c)
+		i += w
+	}
+	if len(codes) < q {
+		return []uint64{packGram(codes)}
+	}
+	out := make([]uint64, 0, len(codes)-q+1)
+	for i := 0; i+q <= len(codes); i++ {
+		out = append(out, packGram(codes[i:i+q]))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// packGram packs up to maxPackedQ rune codes, the last in the lowest field.
+func packGram(codes []uint64) uint64 {
+	var g uint64
+	for _, c := range codes {
+		g = g<<runeBits | c
+	}
+	return g
 }
 
 // jaccardSorted computes the Jaccard similarity of two sorted, deduplicated
 // slices by merge intersection. Empty-set conventions: both empty compare
 // equal (1), one empty compares disjoint (0).
-func jaccardSorted(a, b []string) float64 {
+func jaccardSorted[T cmp.Ordered](a, b []T) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}

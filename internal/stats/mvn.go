@@ -9,9 +9,10 @@ import (
 // MVN is a multivariate normal distribution N(mean, cov), held in a
 // factorized form ready for density evaluation and sampling.
 type MVN struct {
-	mean   []float64
-	chol   *Mat // lower Cholesky factor of cov
-	logDet float64
+	mean []float64
+	chol *Mat // lower Cholesky factor of cov
+	// norm is k·log 2π + log|Σ|, the density's constant term.
+	norm float64
 }
 
 // NewMVN builds an MVN from a mean vector and covariance matrix. The
@@ -31,7 +32,7 @@ func NewMVN(mean []float64, cov *Mat) (*MVN, error) {
 	}
 	m := make([]float64, len(mean))
 	copy(m, mean)
-	return &MVN{mean: m, chol: l, logDet: logDet}, nil
+	return &MVN{mean: m, chol: l, norm: float64(len(mean))*math.Log(2*math.Pi) + logDet}, nil
 }
 
 // Dim returns the dimensionality of the distribution.
@@ -44,23 +45,42 @@ func (d *MVN) Mean() []float64 {
 	return m
 }
 
-// LogPDF returns the log density at x.
+// stackDim is the dimensionality up to which LogPDF and Sample keep their
+// scratch vectors on the stack.
+const stackDim = 16
+
+// scratch returns a length-k slice of buf, or of a fresh heap slice when k
+// exceeds it.
+func scratch(buf *[stackDim]float64, k int) []float64 {
+	if k > len(buf) {
+		return make([]float64, k)
+	}
+	return buf[:k]
+}
+
+// LogPDF returns the log density at x. It does not allocate for dim <=
+// stackDim.
 func (d *MVN) LogPDF(x []float64) float64 {
 	k := len(d.mean)
 	if len(x) != k {
 		panic(fmt.Sprintf("stats: LogPDF dim %d, want %d", len(x), k))
 	}
-	diff := make([]float64, k)
-	for i := range diff {
-		diff[i] = x[i] - d.mean[i]
-	}
-	// Quadratic form (x-μ)ᵀ Σ⁻¹ (x-μ) = ||L⁻¹(x-μ)||².
-	y := ForwardSolve(d.chol, diff)
+	var buf [stackDim]float64
+	y := scratch(&buf, k)
+	// Quadratic form (x-μ)ᵀ Σ⁻¹ (x-μ) = ||y||² with L·y = x-μ, solved in
+	// place: per element the same arithmetic, in the same order, as
+	// ForwardSolve over the materialized difference.
 	quad := 0.0
-	for _, v := range y {
-		quad += v * v
+	for i := 0; i < k; i++ {
+		sum := x[i] - d.mean[i]
+		row := d.chol.Data[i*k : (i+1)*k]
+		for j := 0; j < i; j++ {
+			sum -= row[j] * y[j]
+		}
+		y[i] = sum / row[i]
+		quad += y[i] * y[i]
 	}
-	return -0.5 * (float64(k)*math.Log(2*math.Pi) + d.logDet + quad)
+	return -0.5 * (d.norm + quad)
 }
 
 // PDF returns the density at x.
@@ -69,7 +89,8 @@ func (d *MVN) PDF(x []float64) float64 { return math.Exp(d.LogPDF(x)) }
 // Sample draws one vector from the distribution using r.
 func (d *MVN) Sample(r *rand.Rand) []float64 {
 	k := len(d.mean)
-	z := make([]float64, k)
+	var buf [stackDim]float64
+	z := scratch(&buf, k)
 	for i := range z {
 		z[i] = r.NormFloat64()
 	}

@@ -215,3 +215,75 @@ func TestMVNDimMismatch(t *testing.T) {
 		t.Fatal("expected dimension mismatch error")
 	}
 }
+
+// refLogPDF is the reference MVN log density: materialize x-μ, solve with
+// ForwardSolve, sum the squares, then add the normalizer term by term.
+func refLogPDF(mean []float64, cov *Mat, x []float64) float64 {
+	l, err := Cholesky(cov)
+	if err != nil {
+		panic(err)
+	}
+	logDet := 0.0
+	for i := 0; i < l.Rows; i++ {
+		logDet += 2 * math.Log(l.At(i, i))
+	}
+	diff := make([]float64, len(x))
+	for i := range diff {
+		diff[i] = x[i] - mean[i]
+	}
+	quad := 0.0
+	for _, v := range ForwardSolve(l, diff) {
+		quad += v * v
+	}
+	return -0.5 * (float64(len(x))*math.Log(2*math.Pi) + logDet + quad)
+}
+
+// randomSPD returns A·Aᵀ + 0.1·I for a random k×k A.
+func randomSPD(r *rand.Rand, k int) *Mat {
+	a := NewMat(k, k)
+	for i := range a.Data {
+		a.Data[i] = r.NormFloat64()
+	}
+	return RegularizeCovariance(a.Mul(a.T()), 0.1)
+}
+
+// TestMVNLogPDFMatchesForwardSolve holds the in-place solve bit-identical
+// to the ForwardSolve reference on random SPD covariances, including
+// dimensions past the stack buffer.
+func TestMVNLogPDFMatchesForwardSolve(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for _, k := range []int{1, 2, 5, 16, 17, 24} {
+		for trial := 0; trial < 20; trial++ {
+			cov := randomSPD(r, k)
+			mean := make([]float64, k)
+			for i := range mean {
+				mean[i] = r.NormFloat64()
+			}
+			d, err := NewMVN(mean, cov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < 10; s++ {
+				x := make([]float64, k)
+				for i := range x {
+					x[i] = mean[i] + 2*r.NormFloat64()
+				}
+				if got, want := d.LogPDF(x), refLogPDF(mean, cov, x); got != want {
+					t.Fatalf("k=%d: LogPDF = %v, ForwardSolve reference = %v", k, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestMVNLogPDFDoesNotAllocate(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	d, err := NewMVN(make([]float64, 8), randomSPD(r, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
+	if n := testing.AllocsPerRun(100, func() { d.LogPDF(x) }); n != 0 {
+		t.Errorf("MVN.LogPDF allocates %v times per call, want 0", n)
+	}
+}

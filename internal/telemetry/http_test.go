@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -183,4 +184,42 @@ func TestHTTPConcurrentSnapshot(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// publishOnFlush is a ResponseRecorder that publishes one bus event the
+// first time the handler flushes — a client that reacts to the response
+// headers by triggering an event at once.
+type publishOnFlush struct {
+	*httptest.ResponseRecorder
+	publish func()
+}
+
+func (p *publishOnFlush) Flush() {
+	if p.publish != nil {
+		p.publish()
+		p.publish = nil
+	}
+	p.ResponseRecorder.Flush()
+}
+
+// TestSSESubscribesBeforeHeaders pins that the stream's cursor is taken
+// before the headers reach the client: an event published the moment the
+// client sees the response is delivered. The server is already closing,
+// so the handler drains from its cursor once and returns.
+func TestSSESubscribesBeforeHeaders(t *testing.T) {
+	bus := NewBus(64)
+	rec := &publishOnFlush{ResponseRecorder: httptest.NewRecorder()}
+	rec.publish = func() {
+		bus.Publish(&BusEvent{Kind: "span", Name: "right-after-headers", T: time.Now().UnixNano()})
+	}
+	closing := make(chan struct{})
+	close(closing)
+	serveSSE(rec, httptest.NewRequest(http.MethodGet, "/events", nil), bus, closing)
+	body := rec.Body.String()
+	if !strings.Contains(body, `"name":"right-after-headers"`) {
+		t.Errorf("event published right after the headers was skipped:\n%s", body)
+	}
+	if !strings.Contains(body, "event: shutdown") {
+		t.Errorf("stream missing its terminal shutdown event:\n%s", body)
+	}
 }

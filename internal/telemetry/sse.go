@@ -31,6 +31,9 @@ func serveSSE(w http.ResponseWriter, r *http.Request, bus *Bus, closing <-chan s
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// Subscribe before the client can see the headers: an event published
+	// as soon as the response arrives must be streamed, not skipped.
+	cursor := bus.Head()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
@@ -38,7 +41,6 @@ func serveSSE(w http.ResponseWriter, r *http.Request, bus *Bus, closing <-chan s
 	w.Write([]byte(": serd event stream\n\n")) //nolint:errcheck
 	fl.Flush()
 
-	cursor := bus.Head()
 	poll := time.NewTicker(ssePollInterval)
 	defer poll.Stop()
 	keepalive := time.NewTicker(sseKeepalive)
