@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"serd"
@@ -16,6 +17,9 @@ import (
 type goldenCase struct {
 	name string
 	gen  serd.Generator
+	// edit, when set, rewrites the generated input (values and background
+	// corpora) before the synthesizers are built.
+	edit func(g *serd.SampleDataset)
 	want map[string]string
 }
 
@@ -37,22 +41,72 @@ var goldenCases = []goldenCase{
 			"matches.csv": "2a3e52b873a01bec641012217a492b354d2954bfc6cbca16fcd395af25f88a51",
 		},
 	},
+	{
+		name: "folding",
+		edit: foldingEdit,
+		want: map[string]string{
+			"A.csv":       "19e70d6e7428aa4fe0606e06753b2aea63f322f01ba98e8acaa00442298395fc",
+			"B.csv":       "76dd029f034627b9b6b2f128166fc6883210fdbe76b82dafa6ec58ff81ec6263",
+			"matches.csv": "0bf1ccce4e066a70a579d187766642788b1b981b50ef948d7d5f94f2158b1740",
+		},
+	},
 }
 
-// TestGoldenOutputHashes runs default SERD (GMM S1, §V rejection active)
-// and the PrivBayes backend on a small DBLP-ACM sample and checks the
-// output bytes against the pinned hashes.
+// foldingEdit puts text that only Unicode case folding handles into the
+// input: non-ASCII capitals whose lower case differs in byte length (İ
+// lowers to a one-byte i), a capital umlaut, and bytes that are not valid
+// UTF-8, which case folding turns into U+FFFD. It touches every textual and
+// categorical column and both background corpora, so the q-gram kernels of
+// S1, the string walk, categorical synthesis and token repair all see it.
+func foldingEdit(g *serd.SampleDataset) {
+	rewrite := func(i int, v string) string {
+		switch i % 5 {
+		case 0:
+			return "Über " + v
+		case 1:
+			return strings.Replace(v, "i", "İ", 2)
+		case 2:
+			return v + " D\xffat\xfea"
+		case 3:
+			return "ÄRGER\xc3 " + strings.ToUpper(v)
+		}
+		return v
+	}
+	for _, rel := range []*serd.Relation{g.ER.A, g.ER.B} {
+		for i, e := range rel.Entities {
+			for c, col := range g.ER.Schema().Cols {
+				if col.Kind == serd.Textual || col.Kind == serd.Categorical {
+					e.Values[c] = rewrite(i+c, e.Values[c])
+				}
+			}
+		}
+	}
+	for name, corpus := range g.Background {
+		for i := range corpus {
+			corpus[i] = rewrite(i, corpus[i])
+		}
+		g.Background[name] = corpus
+	}
+}
+
+// TestGoldenOutputHashes runs default SERD (GMM S1, §V rejection active),
+// the PrivBayes backend, and default SERD on case-folding-sensitive input
+// on a small DBLP-ACM sample and checks the output bytes against the
+// pinned hashes.
 func TestGoldenOutputHashes(t *testing.T) {
-	g, err := serd.Sample("DBLP-ACM", serd.SampleConfig{Seed: 5, SizeA: 80, SizeB: 70, Matches: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	synths, err := serd.RuleSynthesizers(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, gc := range goldenCases {
 		t.Run(gc.name, func(t *testing.T) {
+			g, err := serd.Sample("DBLP-ACM", serd.SampleConfig{Seed: 5, SizeA: 80, SizeB: 70, Matches: 60})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gc.edit != nil {
+				gc.edit(g)
+			}
+			synths, err := serd.RuleSynthesizers(g)
+			if err != nil {
+				t.Fatal(err)
+			}
 			res, err := serd.Synthesize(g.ER, serd.Options{Synthesizers: synths, Seed: 11, Generator: gc.gen})
 			if err != nil {
 				t.Fatal(err)

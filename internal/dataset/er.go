@@ -43,12 +43,19 @@ func (e *ER) MatchSet() map[Pair]bool {
 }
 
 // MatchingVectors computes X+ — the similarity vectors of all matching
-// pairs (paper §II-B).
+// pairs (paper §II-B). Like every S1 vector set it goes through a SimCache,
+// so each value is prepped once; the vectors equal Schema.SimVector's.
 func (e *ER) MatchingVectors() [][]float64 {
-	s := e.Schema()
-	out := make([][]float64, 0, len(e.Matches))
-	for _, p := range e.Matches {
-		out = append(out, s.SimVector(e.A.Entities[p.A], e.B.Entities[p.B]))
+	return e.pairVectors(e.Matches)
+}
+
+// pairVectors computes the similarity vectors of pairs through one
+// SimCache.
+func (e *ER) pairVectors(pairs []Pair) [][]float64 {
+	c := NewSimCache(e.Schema())
+	out := make([][]float64, 0, len(pairs))
+	for _, p := range pairs {
+		out = append(out, c.SimVector(e.A.Entities[p.A], e.B.Entities[p.B]))
 	}
 	return out
 }
@@ -59,13 +66,7 @@ func (e *ER) MatchingVectors() [][]float64 {
 // replacement is drawn with r. Sampling keeps the quadratic pair space
 // tractable for the larger datasets, exactly as ER systems do in practice.
 func (e *ER) NonMatchingVectors(maxN int, r *rand.Rand) [][]float64 {
-	pairs := e.NonMatchingPairs(maxN, r)
-	s := e.Schema()
-	out := make([][]float64, 0, len(pairs))
-	for _, p := range pairs {
-		out = append(out, s.SimVector(e.A.Entities[p.A], e.B.Entities[p.B]))
-	}
-	return out
+	return e.pairVectors(e.NonMatchingPairs(maxN, r))
 }
 
 // NonMatchingPairs returns up to maxN non-matching pairs (see

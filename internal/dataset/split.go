@@ -3,7 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // LabeledPair is a training/evaluation example for an ER matcher: the pair,
@@ -83,12 +83,12 @@ func LabeledPairsMixed(e *ER, negPerPos int, candidates []Pair, r *rand.Rand) []
 
 // HardestNonMatches scores every candidate pair and returns the top-n
 // non-matching pairs by mean similarity — the boundary cases that make a
-// matcher workload meaningful.
+// matcher workload meaningful. Scoring preps each value once (SimCache).
 func HardestNonMatches(e *ER, candidates []Pair, n int) []LabeledPair {
 	if n <= 0 {
 		return nil
 	}
-	s := e.Schema()
+	c := NewSimCache(e.Schema())
 	matchSet := e.MatchSet()
 	seen := make(map[Pair]bool, len(candidates))
 	type scoredPair struct {
@@ -101,14 +101,23 @@ func HardestNonMatches(e *ER, candidates []Pair, n int) []LabeledPair {
 			continue
 		}
 		seen[p] = true
-		x := s.SimVector(e.A.Entities[p.A], e.B.Entities[p.B])
+		x := c.SimVector(e.A.Entities[p.A], e.B.Entities[p.B])
 		mean := 0.0
 		for _, v := range x {
 			mean += v
 		}
 		scored = append(scored, scoredPair{lp: LabeledPair{Pair: p, Vector: x}, mean: mean / float64(len(x))})
 	}
-	sort.SliceStable(scored, func(i, j int) bool { return scored[i].mean > scored[j].mean })
+	// Descending by mean, ties in candidate order.
+	slices.SortStableFunc(scored, func(a, b scoredPair) int {
+		switch {
+		case a.mean > b.mean:
+			return -1
+		case a.mean < b.mean:
+			return 1
+		}
+		return 0
+	})
 	if len(scored) > n {
 		scored = scored[:n]
 	}

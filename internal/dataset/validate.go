@@ -2,14 +2,16 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
 // Validate checks a dataset's structural invariants and returns every
 // violation found (nil when clean): unique entity IDs per relation,
 // consistent arity, in-range match indices, no duplicate match pairs, and
-// parseable numeric/date values. The CLI runs it on load so malformed CSVs
-// fail loudly instead of skewing distributions.
+// numeric/date values that parse as finite numbers ("NaN" and "Inf"
+// parse, but would poison similarity vectors). The CLI runs it on load so
+// malformed CSVs fail loudly instead of skewing distributions.
 func Validate(e *ER) []error {
 	var errs []error
 	if e == nil {
@@ -37,8 +39,10 @@ func Validate(e *ER) []error {
 				if v == "" {
 					continue // missing numeric values are allowed
 				}
-				if _, err := strconv.ParseFloat(v, 64); err != nil {
+				if x, err := strconv.ParseFloat(v, 64); err != nil {
 					errs = append(errs, fmt.Errorf("dataset: %s entity %q column %q: %q is not numeric", label, ent.ID, col.Name, v))
+				} else if math.IsNaN(x) || math.IsInf(x, 0) {
+					errs = append(errs, fmt.Errorf("dataset: %s entity %q column %q: %q is not a finite number", label, ent.ID, col.Name, v))
 				}
 			}
 		}

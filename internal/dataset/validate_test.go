@@ -89,3 +89,23 @@ func TestProfile(t *testing.T) {
 		t.Errorf("title profile = %+v", profs[0])
 	}
 }
+
+// TestValidateRejectsNonFiniteNumerics: strconv.ParseFloat accepts "NaN"
+// and "Inf", which would turn numeric similarities into NaN; Validate
+// must report them like unparsable values.
+func TestValidateRejectsNonFiniteNumerics(t *testing.T) {
+	for _, c := range []struct {
+		v    string
+		errs int
+	}{
+		{"NaN", 1}, {"nan", 1}, {"Inf", 1}, {"+Inf", 1}, {"-infinity", 1},
+		{"1e400", 1}, // out of range: ParseFloat returns ±Inf with an error
+		{"2001", 0}, {"-3.5", 0}, {"1e3", 0}, {"", 0},
+	} {
+		er := paperER(t)
+		er.A.Entities[0].Values[3] = c.v
+		if errs := Validate(er); len(errs) != c.errs {
+			t.Errorf("year %q: %d errors %v, want %d", c.v, len(errs), errs, c.errs)
+		}
+	}
+}

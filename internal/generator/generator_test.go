@@ -237,3 +237,20 @@ func TestJSDStripedPairWithPrivBayesReal(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLearningVectors measures S1's training-set construction (X+,
+// the sampled X− and the blocker's hard negatives) at the DBLP-ACM
+// benchmark workload's input size.
+func BenchmarkLearningVectors(b *testing.B) {
+	gen, err := datagen.Scholar(datagen.Config{Seed: 1, SizeA: 250, SizeB: 220, Matches: 212, BackgroundPerColumn: 60})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		opts := FitOptions{Rand: rand.New(rand.NewSource(1))}.WithDefaults(len(gen.ER.Matches))
+		if _, _, err := LearningVectors(gen.ER, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Op transforms a string into a perturbed variant using r.
@@ -16,36 +17,60 @@ type Op func(s string, r *rand.Rand) string
 
 // Typo substitutes one letter for a random lowercase letter.
 func Typo(s string, r *rand.Rand) string {
-	runes := []rune(s)
-	idxs := letterIndexes(runes)
-	if len(idxs) == 0 {
+	v, off, w, ok := pickLetter(s, r)
+	if !ok {
 		return s
 	}
-	i := idxs[r.Intn(len(idxs))]
-	runes[i] = rune('a' + r.Intn(26))
-	return string(runes)
+	return v[:off] + string(rune('a'+r.Intn(26))) + v[off+w:]
 }
 
 // DeleteChar removes one letter.
 func DeleteChar(s string, r *rand.Rand) string {
-	runes := []rune(s)
-	idxs := letterIndexes(runes)
-	if len(idxs) == 0 {
+	v, off, w, ok := pickLetter(s, r)
+	if !ok {
 		return s
 	}
-	i := idxs[r.Intn(len(idxs))]
-	return string(runes[:i]) + string(runes[i+1:])
+	return v[:off] + v[off+w:]
 }
 
 // DuplicateChar doubles one letter.
 func DuplicateChar(s string, r *rand.Rand) string {
-	runes := []rune(s)
-	idxs := letterIndexes(runes)
-	if len(idxs) == 0 {
+	v, off, w, ok := pickLetter(s, r)
+	if !ok {
 		return s
 	}
-	i := idxs[r.Intn(len(idxs))]
-	return string(runes[:i+1]) + string(runes[i:])
+	return v[:off+w] + v[off:]
+}
+
+// pickLetter draws one of s's letters uniformly with r.Intn and returns
+// string([]rune(s)) with the letter's byte offset and width in it; ok is
+// false, and r untouched, when s has no letter. The letter ops splice
+// bytes of that string, which equals editing []rune(s) and converting
+// back. The conversion is a copy only for invalid UTF-8, where it rewrites
+// each invalid byte as U+FFFD (not a letter, so the count is the same).
+func pickLetter(s string, r *rand.Rand) (v string, off, width int, ok bool) {
+	n := 0
+	for _, c := range s {
+		if unicode.IsLetter(c) {
+			n++
+		}
+	}
+	if n == 0 {
+		return s, 0, 0, false
+	}
+	if !utf8.ValidString(s) {
+		s = string([]rune(s))
+	}
+	k := r.Intn(n)
+	for i, c := range s {
+		if unicode.IsLetter(c) {
+			if k == 0 {
+				return s, i, utf8.RuneLen(c), true
+			}
+			k--
+		}
+	}
+	panic("perturb: letter count changed")
 }
 
 // DropToken removes one whitespace-separated token (never the only one).
@@ -140,8 +165,10 @@ func Apply(s string, ops []Op, n int, r *rand.Rand) string {
 
 // TowardSimilarity perturbs s repeatedly until sim(s, s') is within tol of
 // target (or maxSteps edits have been applied), returning the closest
-// variant found. sim must be symmetric in its arguments. This is the
-// workhorse behind similarity-bucketed training-pair construction.
+// variant found. sim must be symmetric in its arguments; every call passes
+// s as the first, so callers bind s once (simfn.Bind) and score only the
+// candidate. This is the workhorse behind similarity-bucketed
+// training-pair construction and the rule synthesizer's edit walk.
 //
 // The walk uses token- and character-level ops but not name abbreviation:
 // "T. S. O." artifacts on non-name text read as obviously fake, and
@@ -176,14 +203,4 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-func letterIndexes(runes []rune) []int {
-	var idxs []int
-	for i, c := range runes {
-		if unicode.IsLetter(c) {
-			idxs = append(idxs, i)
-		}
-	}
-	return idxs
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode"
 
 	"serd/internal/simfn"
 )
@@ -152,5 +153,109 @@ func TestTowardSimilarityIdentityTarget(t *testing.T) {
 	got, sim := TowardSimilarity("hello world", 1.0, 0.01, f.Sim, 10, r)
 	if got != "hello world" || sim != 1 {
 		t.Errorf("target 1.0 should return the input unchanged, got %q (%v)", got, sim)
+	}
+}
+
+// The rune-slice forms of the letter ops: the definitions the
+// byte-splicing ops must reproduce.
+
+func letterIndexes(runes []rune) []int {
+	var idxs []int
+	for i, c := range runes {
+		if unicode.IsLetter(c) {
+			idxs = append(idxs, i)
+		}
+	}
+	return idxs
+}
+
+func typoRunes(s string, r *rand.Rand) string {
+	runes := []rune(s)
+	idxs := letterIndexes(runes)
+	if len(idxs) == 0 {
+		return s
+	}
+	i := idxs[r.Intn(len(idxs))]
+	runes[i] = rune('a' + r.Intn(26))
+	return string(runes)
+}
+
+func deleteCharRunes(s string, r *rand.Rand) string {
+	runes := []rune(s)
+	idxs := letterIndexes(runes)
+	if len(idxs) == 0 {
+		return s
+	}
+	i := idxs[r.Intn(len(idxs))]
+	return string(runes[:i]) + string(runes[i+1:])
+}
+
+func duplicateCharRunes(s string, r *rand.Rand) string {
+	runes := []rune(s)
+	idxs := letterIndexes(runes)
+	if len(idxs) == 0 {
+		return s
+	}
+	i := idxs[r.Intn(len(idxs))]
+	return string(runes[:i+1]) + string(runes[i:])
+}
+
+// TestLetterOpsMatchRuneForm holds the byte-splicing letter ops equal to
+// their rune-slice forms — output and RNG position — on random strings
+// with multi-byte letters, digits, punctuation and invalid UTF-8.
+func TestLetterOpsMatchRuneForm(t *testing.T) {
+	ops := []struct {
+		name      string
+		op, runes Op
+	}{
+		{"Typo", Typo, typoRunes},
+		{"DeleteChar", DeleteChar, deleteCharRunes},
+		{"DuplicateChar", DuplicateChar, duplicateCharRunes},
+	}
+	alphabet := []string{"a", "Z", "é", "Ü", "İ", "日", "ß", "7", "0", " ", ",", "-", "\xff", "\xc3", "�", "😀"}
+	gen := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		var sb strings.Builder
+		for n := gen.Intn(12); n > 0; n-- {
+			sb.WriteString(alphabet[gen.Intn(len(alphabet))])
+		}
+		s := sb.String()
+		for _, o := range ops {
+			seed := gen.Int63()
+			r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			if got, want := o.op(s, r1), o.runes(s, r2); got != want {
+				t.Fatalf("%s(%q) = %q, rune form %q", o.name, s, got, want)
+			}
+			if r1.Int63() != r2.Int63() {
+				t.Fatalf("%s(%q) left the RNG at a different position than the rune form", o.name, s)
+			}
+		}
+	}
+}
+
+// TestLetterOpsAllocs pins Typo and DeleteChar at one allocation — the
+// result string — on valid UTF-8. The value starts and ends with a
+// non-letter, so no splice leaves one side empty (which would return a
+// substring without allocating).
+func TestLetterOpsAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	s := "(Über Snapshot Isolation in Mobile Devices)"
+	for name, op := range map[string]Op{"Typo": Typo, "DeleteChar": DeleteChar} {
+		if n := testing.AllocsPerRun(100, func() { op(s, r) }); n != 1 {
+			t.Errorf("%s: %v allocs per call, want 1", name, n)
+		}
+	}
+}
+
+// BenchmarkTowardSimilarity measures one §VI edit walk with the source
+// bound once, as the rule synthesizer runs it.
+func BenchmarkTowardSimilarity(b *testing.B) {
+	s := "Adaptable Query Optimization and Evaluation in Temporal Middleware"
+	simS := simfn.Bind(simfn.QGramJaccard{Q: 3, Fold: true}, s)
+	sim := func(_, c string) float64 { return simS(c) }
+	r := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		TowardSimilarity(s, 0.5, 0.02, sim, 200, r)
 	}
 }

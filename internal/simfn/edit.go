@@ -23,24 +23,33 @@ func (EditSim) Sim(a, b string) float64 {
 // EditDistance returns the Levenshtein distance between a and b over runes,
 // with unit costs for insertion, deletion and substitution.
 func EditDistance(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
+	return EditDistanceRunes([]rune(a), []rune(b), nil)
+}
+
+// EditDistanceRunes is EditDistance over decoded runes, running its
+// dynamic program in scratch when len(scratch) >= 2*(len(b)+1) and
+// allocating the two rows otherwise. Callers that decode into stack
+// buffers and pass stack scratch compare without allocating.
+func EditDistanceRunes(a, b []rune, scratch []int) int {
+	if len(a) == 0 {
+		return len(b)
 	}
-	if len(rb) == 0 {
-		return len(ra)
+	if len(b) == 0 {
+		return len(a)
 	}
 	// Single-row dynamic program.
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
+	if len(scratch) < 2*(len(b)+1) {
+		scratch = make([]int, 2*(len(b)+1))
+	}
+	prev, cur := scratch[:len(b)+1], scratch[len(b)+1:2*(len(b)+1)]
 	for j := range prev {
 		prev[j] = j
 	}
-	for i := 1; i <= len(ra); i++ {
+	for i := 1; i <= len(a); i++ {
 		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
+		for j := 1; j <= len(b); j++ {
 			cost := 1
-			if ra[i-1] == rb[j-1] {
+			if a[i-1] == b[j-1] {
 				cost = 0
 			}
 			m := prev[j-1] + cost        // substitute
@@ -54,5 +63,5 @@ func EditDistance(a, b string) int {
 		}
 		prev, cur = cur, prev
 	}
-	return prev[len(rb)]
+	return prev[len(b)]
 }

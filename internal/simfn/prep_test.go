@@ -2,6 +2,8 @@ package simfn
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -43,13 +45,22 @@ func TestPreprocessorBitEquality(t *testing.T) {
 	}
 }
 
+// TestBindMatchesSim holds the bound kernel (q <= 3) and the Prep
+// fallback (q = 4) equal to Sim for every q and both fold settings,
+// including values longer than the kernel's stack table.
 func TestBindMatchesSim(t *testing.T) {
-	qg := QGramJaccard{Q: 3, Fold: true}
-	for _, a := range prepCases {
-		bound := Bind(qg, a)
-		for _, b := range prepCases {
-			if got, want := bound(b), qg.Sim(a, b); got != want {
-				t.Errorf("Bind(%q)(%q) = %v, Sim = %v", a, b, got, want)
+	long := strings.Repeat("Über dÄta\xff İnvariants ", 12)
+	cases := append(append([]string{}, prepCases...), long, long[:129], "İİİ", "ÜBER über")
+	for q := 1; q <= 4; q++ {
+		for _, fold := range []bool{false, true} {
+			f := QGramJaccard{Q: q, Fold: fold}
+			for _, a := range cases {
+				bound := Bind(f, a)
+				for _, b := range cases {
+					if got, want := bound(b), f.Sim(a, b); got != want {
+						t.Errorf("q=%d fold=%v Bind(%q)(%q) = %v, Sim = %v", q, fold, a, b, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -102,7 +113,7 @@ func TestPackedGramsMatchStrings(t *testing.T) {
 		for _, fold := range []bool{false, true} {
 			f := QGramJaccard{Q: q, Fold: fold}
 			for _, a := range prepCases {
-				if got, want := len(packedQGrams(f.fold(a), q)), len(sortedQGrams(f.fold(a), q)); got != want {
+				if got, want := len(packedQGrams(a, q, fold)), len(sortedQGrams(f.fold(a), q)); got != want {
 					t.Errorf("q=%d fold=%v %q: %d packed grams, %d string grams", q, fold, a, got, want)
 				}
 				for _, b := range prepCases {
@@ -131,4 +142,54 @@ func FuzzQGramPackedMatchesStrings(f *testing.F) {
 			t.Fatalf("%s fold=%v SimPrepped(%q, %q) = %v, Sim = %v", fn.Name(), fn.Fold, a, b, got, want)
 		}
 	})
+}
+
+// TestFoldMatchesToLower pins runeCode's folding to strings.ToLower: the
+// packed grams of a value under Fold equal the unfolded packed grams of
+// its strings.ToLower.
+func TestFoldMatchesToLower(t *testing.T) {
+	for _, s := range append(prepCases, "İ", "ÄRGER\xc3 X", "KK", "ΣΑΣ", "\xf0\x9f") {
+		for q := 1; q <= maxPackedQ; q++ {
+			got, want := packedQGrams(s, q, true), packedQGrams(strings.ToLower(s), q, false)
+			if !slices.Equal(got, want) {
+				t.Errorf("q=%d %q: folded grams %v, grams of ToLower %v", q, s, got, want)
+			}
+		}
+	}
+}
+
+// TestBindQGramAllocs pins the bound kernel allocation-free on values up
+// to the stack table's size.
+func TestBindQGramAllocs(t *testing.T) {
+	bound := Bind(QGramJaccard{Q: 3, Fold: true}, "Versioned Range Scanning for Multi-Tenant Platforms")
+	b := strings.Repeat("Über Snapshot İsolation ", 6)[:bindStackBytes]
+	if n := testing.AllocsPerRun(100, func() { bound(b) }); n != 0 {
+		t.Errorf("bound q-gram Jaccard on %d bytes: %v allocs per call, want 0", len(b), n)
+	}
+}
+
+// FuzzBindQGramMatchesSim holds Bind(f, a)(b) equal to f.Sim(a, b) on
+// arbitrary bytes for q in 1..4 with and without folding.
+func FuzzBindQGramMatchesSim(f *testing.F) {
+	for i, a := range prepCases {
+		f.Add(a, prepCases[(i+3)%len(prepCases)], uint8(i))
+	}
+	f.Add("ÄRGER\xc3 İ", "ärger� i", uint8(6))
+	f.Fuzz(func(t *testing.T, a, b string, mode uint8) {
+		fn := QGramJaccard{Q: 1 + int(mode)%4, Fold: mode&4 != 0}
+		if got, want := Bind(fn, a)(b), fn.Sim(a, b); got != want {
+			t.Fatalf("%s fold=%v Bind(%q)(%q) = %v, Sim = %v", fn.Name(), fn.Fold, a, b, got, want)
+		}
+	})
+}
+
+// BenchmarkBindQGram measures one bound 3-gram Jaccard call — the string
+// walk's per-candidate cost — on a title-length value.
+func BenchmarkBindQGram(b *testing.B) {
+	bound := Bind(QGramJaccard{Q: 3, Fold: true}, "Versioned Range Scanning for Multi-Tenant Platforms")
+	cand := "Versioned Rnage Scaning for Multi Tenant Platforms"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bound(cand)
+	}
 }

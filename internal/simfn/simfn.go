@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -46,13 +47,27 @@ type Preprocessor interface {
 
 // Bind returns sim(a, ·) with a's preprocessing hoisted out of the loop:
 // when f is a Preprocessor, a is prepped once and every call pays only for
-// b. The returned function equals f.Sim(a, b) exactly.
+// b. QGramJaccard with Q <= 3 goes further and scores b in one
+// allocation-free pass against a hashed gram set. The returned function
+// equals f.Sim(a, b) exactly.
 func Bind(f Func, a string) func(b string) float64 {
+	if bf, ok := f.(binder); ok {
+		if sim := bf.bind(a); sim != nil {
+			return sim
+		}
+	}
 	if pp, ok := f.(Preprocessor); ok {
 		pa := pp.Prep(a)
 		return func(b string) float64 { return pp.SimPrepped(pa, pp.Prep(b)) }
 	}
 	return func(b string) float64 { return f.Sim(a, b) }
+}
+
+// binder is implemented by functions with a bound form cheaper than
+// Prep(b) per call. bind returns nil when f has none for its parameters,
+// and Bind falls back to Prep/SimPrepped.
+type binder interface {
+	bind(a string) func(b string) float64
 }
 
 // Inverter is implemented by similarity functions that can synthesize a
@@ -87,21 +102,21 @@ func (f QGramJaccard) q() int {
 
 // Sim implements Func. Both-empty inputs compare equal (similarity 1).
 func (f QGramJaccard) Sim(a, b string) float64 {
-	a, b, q := f.fold(a), f.fold(b), f.q()
+	q := f.q()
 	if q > maxPackedQ {
-		return jaccardSorted(sortedQGrams(a, q), sortedQGrams(b, q))
+		return jaccardSorted(sortedQGrams(f.fold(a), q), sortedQGrams(f.fold(b), q))
 	}
-	return jaccardSorted(packedQGrams(a, q), packedQGrams(b, q))
+	return jaccardSorted(packedQGrams(a, q, f.Fold), packedQGrams(b, q, f.Fold))
 }
 
 // Prep implements Preprocessor: the case-folded, sorted q-gram set —
 // packed []uint64 grams for q <= maxPackedQ, []string grams above.
 func (f QGramJaccard) Prep(v string) any {
-	v, q := f.fold(v), f.q()
+	q := f.q()
 	if q > maxPackedQ {
-		return sortedQGrams(v, q)
+		return sortedQGrams(f.fold(v), q)
 	}
-	return packedQGrams(v, q)
+	return packedQGrams(v, q, f.Fold)
 }
 
 // SimPrepped implements Preprocessor.
@@ -175,50 +190,182 @@ func sortedQGrams(s string, q int) []string {
 // they keep that gram distinct from every full gram. The packing is
 // injective on the rune-aligned substrings sortedQGrams produces, so set
 // sizes, intersections and Jaccard values match the string form bit for
-// bit.
+// bit. Every packed gram has at least one non-zero field, so no gram is 0.
 const (
 	maxPackedQ  = 3
 	runeBits    = 21
 	invalidBase = utf8.MaxRune + 2
 )
 
-// packedQGrams is sortedQGrams over packed grams: the sorted,
-// deduplicated set of q-grams of s for q <= maxPackedQ.
-func packedQGrams(s string, q int) []uint64 {
+// runeCode decodes the rune starting at s[i] into its packed field and
+// returns the field and the rune's width in bytes. With fold set the field
+// is that of the rune strings.ToLower(s) holds in its place: ASCII bytes
+// and valid runes map through unicode.ToLower, and a byte that is not
+// valid UTF-8 becomes U+FFFD. This is the one place folding is defined for
+// packed grams; Prep, Sim and the bound kernel all decode through it.
+func runeCode(s string, i int, fold bool) (uint64, int) {
+	c := s[i]
+	if c < utf8.RuneSelf {
+		if fold && c-'A' < 26 {
+			c += 'a' - 'A'
+		}
+		return uint64(c) + 1, 1
+	}
+	r, w := utf8.DecodeRuneInString(s[i:])
+	switch {
+	case fold:
+		// An invalid byte decodes as U+FFFD, which folds to itself.
+		r = unicode.ToLower(r)
+	case r == utf8.RuneError && w == 1:
+		return invalidBase + uint64(s[i]), 1
+	}
+	return uint64(r) + 1, w
+}
+
+// packedQGrams is sortedQGrams over packed grams of the (optionally
+// folded) value: the sorted, deduplicated set of q-grams of s for
+// q <= maxPackedQ.
+func packedQGrams(s string, q int, fold bool) []uint64 {
 	if s == "" {
 		return nil
 	}
-	// Per-rune codes; most values are short, so the buffer stays on the
-	// stack.
-	var buf [64]uint64
-	codes := buf[:0]
-	for i := 0; i < len(s); {
-		r, w := utf8.DecodeRuneInString(s[i:])
-		c := uint64(r) + 1
-		if r == utf8.RuneError && w == 1 {
-			c = invalidBase + uint64(s[i])
+	n := utf8.RuneCountInString(s)
+	out := make([]uint64, 0, max(n-q+1, 1))
+	var g uint64
+	mask := gramMask(q)
+	for i, k := 0, 1; i < len(s); k++ {
+		c, w := runeCode(s, i, fold)
+		g = (g<<runeBits | c) & mask
+		if k >= q {
+			out = append(out, g)
 		}
-		codes = append(codes, c)
 		i += w
 	}
-	if len(codes) < q {
-		return []uint64{packGram(codes)}
-	}
-	out := make([]uint64, 0, len(codes)-q+1)
-	for i := 0; i+q <= len(codes); i++ {
-		out = append(out, packGram(codes[i:i+q]))
+	if n < q {
+		// Shorter than q: the whole value is its one gram.
+		return append(out, g)
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
 }
 
-// packGram packs up to maxPackedQ rune codes, the last in the lowest field.
-func packGram(codes []uint64) uint64 {
-	var g uint64
-	for _, c := range codes {
-		g = g<<runeBits | c
+// gramMask keeps the low q fields of a rolling packed gram.
+func gramMask(q int) uint64 { return 1<<(runeBits*q) - 1 }
+
+// Hashed bound q-grams. Bind on a QGramJaccard with q <= maxPackedQ packs
+// a's grams once into an open-addressing set of packed grams (0, which no
+// gram packs to, marks an empty slot). Each call streams b once: decode,
+// fold, roll the packed gram, dedup b's grams in a table sized from len(b)
+// — on the stack up to bindStackBytes — and count |B| and |A∩B|. The
+// counts are the integers the sorted merge produces, so every value is
+// bit-equal to Sim.
+const (
+	bindStackBytes = 128
+	gramHashMul    = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
+)
+
+// gramSet is an open-addressing hash set of packed grams with linear
+// probing; len(slots) is a power of two at least twice the gram count.
+type gramSet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots))
+	n     int  // distinct grams held
+	q     int
+	fold  bool
+}
+
+// bind implements binder for q <= maxPackedQ.
+func (f QGramJaccard) bind(a string) func(b string) float64 {
+	q := f.q()
+	if q > maxPackedQ {
+		return nil
 	}
-	return g
+	grams := packedQGrams(a, q, f.Fold)
+	set := &gramSet{n: len(grams), q: q, fold: f.Fold}
+	set.slots, set.shift = gramTable(len(grams), nil)
+	for _, g := range grams {
+		insertGram(set.slots, set.shift, g)
+	}
+	return set.jaccard
+}
+
+// gramTable returns a zeroed table with at least 2n slots (at least 8),
+// carved from buf when it is large enough, and its hash shift.
+func gramTable(n int, buf []uint64) ([]uint64, uint) {
+	size, shift := 8, uint(61)
+	for size < 2*n {
+		size <<= 1
+		shift--
+	}
+	if size <= len(buf) {
+		return buf[:size], shift
+	}
+	return make([]uint64, size), shift
+}
+
+// insertGram adds g to the table and reports whether it was absent.
+func insertGram(slots []uint64, shift uint, g uint64) bool {
+	mask := uint64(len(slots) - 1)
+	for i := (g * gramHashMul) >> shift; ; i = (i + 1) & mask {
+		switch slots[i] {
+		case g:
+			return false
+		case 0:
+			slots[i] = g
+			return true
+		}
+	}
+}
+
+// has reports whether g is in the set.
+func (s *gramSet) has(g uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := (g * gramHashMul) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case g:
+			return true
+		case 0:
+			return false
+		}
+	}
+}
+
+// jaccard is the bound similarity: Sim(a, b) for the value a the set was
+// built from.
+func (s *gramSet) jaccard(b string) float64 {
+	var buf [2 * bindStackBytes]uint64
+	// b has at most len(b) runes, hence at most len(b) distinct grams.
+	seen, shift := gramTable(len(b), buf[:])
+	nb, inter := 0, 0
+	var g uint64
+	mask := gramMask(s.q)
+	k := 0
+	for i := 0; i < len(b); {
+		// Bytes that decode and fold to themselves skip the (not inlined)
+		// decoder call.
+		c, w := uint64(b[i])+1, 1
+		if x := b[i]; x >= utf8.RuneSelf || s.fold && x-'A' < 26 {
+			c, w = runeCode(b, i, s.fold)
+		}
+		g = (g<<runeBits | c) & mask
+		i += w
+		// A value shorter than q is its own single gram.
+		if k++; k >= s.q || (i == len(b) && k < s.q) {
+			if insertGram(seen, shift, g) {
+				nb++
+				if s.has(g) {
+					inter++
+				}
+			}
+		}
+	}
+	switch {
+	case s.n == 0 && nb == 0:
+		return 1
+	case s.n == 0 || nb == 0:
+		return 0
+	}
+	return float64(inter) / float64(s.n+nb-inter)
 }
 
 // jaccardSorted computes the Jaccard similarity of two sorted, deduplicated
@@ -312,8 +459,9 @@ func (Exact) Sim(a, b string) float64 {
 
 // Numeric is the min-max scaled absolute-difference similarity the paper
 // uses for numeric columns: 1 - |a-b| / (Max-Min) (Example 2). Values that
-// fail to parse as floats, or fall far outside [Min, Max], clamp to
-// similarity 0.
+// fall far outside [Min, Max] clamp to similarity 0. Values that fail to
+// parse as finite floats ("NaN" and "Inf" parse, but are not numbers a
+// column can be scaled by) compare by string equality.
 type Numeric struct {
 	Min, Max float64
 }
@@ -323,9 +471,9 @@ func (Numeric) Name() string { return "numeric-minmax" }
 
 // Sim implements Func.
 func (f Numeric) Sim(a, b string) float64 {
-	x, errX := strconv.ParseFloat(a, 64)
-	y, errY := strconv.ParseFloat(b, 64)
-	if errX != nil || errY != nil {
+	x, okX := parseFinite(a)
+	y, okY := parseFinite(b)
+	if !okX || !okY {
 		if a == b {
 			return 1
 		}
@@ -347,11 +495,11 @@ func (f Numeric) Sim(a, b string) float64 {
 
 // Invert implements Inverter: it solves 1 - |a-v|/(Max-Min) = target for v,
 // choosing the + or - branch uniformly (the paper samples one of the two
-// roots, §IV-B1) and clamping to [Min, Max]. When a does not parse, the
-// original value is returned with similarity 1.
+// roots, §IV-B1) and clamping to [Min, Max]. When a does not parse as a
+// finite float, the original value is returned with similarity 1.
 func (f Numeric) Invert(a string, target float64, next func() float64) (string, float64) {
-	x, err := strconv.ParseFloat(a, 64)
-	if err != nil {
+	x, ok := parseFinite(a)
+	if !ok {
 		return a, 1
 	}
 	span := f.Max - f.Min
@@ -378,6 +526,13 @@ func (f Numeric) Invert(a string, target float64, next func() float64) (string, 
 	}
 	out := formatLike(a, v)
 	return out, f.Sim(a, out)
+}
+
+// parseFinite parses v as a float and reports whether it is a finite
+// number.
+func parseFinite(v string) (float64, bool) {
+	x, err := strconv.ParseFloat(v, 64)
+	return x, err == nil && !math.IsNaN(x) && !math.IsInf(x, 0)
 }
 
 // formatLike renders v with the same decimal precision as the source value

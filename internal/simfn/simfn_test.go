@@ -263,3 +263,92 @@ func TestQGrams(t *testing.T) {
 		t.Errorf("empty string should yield no grams, got %d", len(got))
 	}
 }
+
+// editDistanceMatrix is a full-matrix Levenshtein reference, independent
+// of the single-row program EditDistance and EditDistanceRunes share.
+func editDistanceMatrix(a, b []rune) int {
+	d := make([][]int, len(a)+1)
+	for i := range d {
+		d[i] = make([]int, len(b)+1)
+		d[i][0] = i
+	}
+	for j := range d[0] {
+		d[0][j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			d[i][j] = min(d[i-1][j-1]+cost, d[i-1][j]+1, d[i][j-1]+1)
+		}
+	}
+	return d[len(a)][len(b)]
+}
+
+// TestEditDistanceRunesMatchesEditDistance checks the scratch-row form
+// against EditDistance and a full-matrix reference on random strings with
+// multi-byte runes and invalid UTF-8, with no scratch, too-short scratch,
+// and oversized scratch holding stale values.
+func TestEditDistanceRunesMatchesEditDistance(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	alphabet := []string{"a", "b", "c", "é", "日", " ", "\xff", "�", "İ"}
+	gen := func() string {
+		var sb strings.Builder
+		for n := r.Intn(14); n > 0; n-- {
+			sb.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		return sb.String()
+	}
+	dirty := make([]int, 64)
+	for trial := 0; trial < 500; trial++ {
+		a, b := gen(), gen()
+		ra, rb := []rune(a), []rune(b)
+		want := editDistanceMatrix(ra, rb)
+		if got := EditDistance(a, b); got != want {
+			t.Fatalf("EditDistance(%q, %q) = %d, want %d", a, b, got, want)
+		}
+		for i := range dirty {
+			dirty[i] = r.Intn(100) - 50
+		}
+		for _, scratch := range [][]int{nil, make([]int, 3), dirty} {
+			if got := EditDistanceRunes(ra, rb, scratch); got != want {
+				t.Fatalf("EditDistanceRunes(%q, %q, len %d) = %d, want %d", a, b, len(scratch), got, want)
+			}
+		}
+	}
+}
+
+// TestNumericNonFinite: values that parse to NaN or ±Inf behave like
+// unparsable ones in Sim (string equality, never NaN) and in Invert (the
+// value comes back unchanged with similarity 1).
+func TestNumericNonFinite(t *testing.T) {
+	f := Numeric{Min: 0, Max: 10}
+	for _, c := range []struct {
+		a, b string
+		want float64
+	}{
+		{"NaN", "3", 0},
+		{"3", "NaN", 0},
+		{"NaN", "NaN", 1},
+		{"Inf", "3", 0},
+		{"-Inf", "Inf", 0},
+		{"+Inf", "+Inf", 1},
+		{"Inf", "+Inf", 0}, // unequal strings, even though both parse to +Inf
+		{"3", "4", 0.9},
+	} {
+		if got := f.Sim(c.a, c.b); got != c.want {
+			t.Errorf("Sim(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		}
+		if got := (Date{Min: 0, Max: 10}).Sim(c.a, c.b); got != c.want {
+			t.Errorf("Date.Sim(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+	for _, a := range []string{"NaN", "Inf", "-Inf", "infinity"} {
+		v, sim := f.Invert(a, 0.5, func() float64 { return 0.3 })
+		if v != a || sim != 1 {
+			t.Errorf("Invert(%q) = %q, %v; want the value back with similarity 1", a, v, sim)
+		}
+	}
+}

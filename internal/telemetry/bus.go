@@ -118,7 +118,12 @@ func (b *Bus) Poll(from uint64, max int) (events []*BusEvent, next uint64, dropp
 	if max <= 0 {
 		max = int(size)
 	}
-	for i := from; i < head && len(events) < max; i++ {
+	// Walk exactly the sequences the returned cursor covers, so each is
+	// either returned or counted dropped once: stopping on len(events)
+	// would read past a skipped slot into the next poll's range and
+	// deliver those events twice.
+	end := from + uint64(min(max, int(head-from)))
+	for i := from; i < end; i++ {
 		ev := b.slots[i&b.mask].Load()
 		if ev == nil || ev.Seq != i {
 			// The slot was reused by a writer that lapped us mid-read (or
@@ -129,5 +134,5 @@ func (b *Bus) Poll(from uint64, max int) (events []*BusEvent, next uint64, dropp
 		}
 		events = append(events, ev)
 	}
-	return events, from + uint64(min(max, int(head-from))), dropped
+	return events, end, dropped
 }

@@ -90,17 +90,22 @@ func (rs *RuleSynthesizer) repairTokens(s string) string {
 	}
 	toks := strings.Fields(s)
 	changed := false
+	// Tokens and vocabulary words are decoded into stack rune buffers and
+	// compared over stack DP rows; only words past repairMaxRunes allocate.
+	var tokBuf, wordBuf [repairMaxRunes]rune
+	var rows [2 * (repairMaxRunes + 1)]int
 	for i, tok := range toks {
 		lower := strings.ToLower(tok)
 		if rs.vocab[lower] || len(lower) < 3 {
 			continue
 		}
+		lr := decodeRunes(lower, tokBuf[:])
 		best, bestD := "", 3
 		for _, v := range rs.vocabList {
 			if abs := len(v) - len(lower); abs > 2 || abs < -2 {
 				continue
 			}
-			if d := simfn.EditDistance(lower, v); d < bestD {
+			if d := simfn.EditDistanceRunes(lr, decodeRunes(v, wordBuf[:]), rows[:]); d < bestD {
 				best, bestD = v, d
 				if d == 1 {
 					break
@@ -116,6 +121,22 @@ func (rs *RuleSynthesizer) repairTokens(s string) string {
 		return s
 	}
 	return strings.Join(toks, " ")
+}
+
+// repairMaxRunes bounds the tokens repairTokens compares on the stack.
+const repairMaxRunes = 64
+
+// decodeRunes returns []rune(s), decoded into buf when it fits.
+func decodeRunes(s string, buf []rune) []rune {
+	n := 0
+	for _, r := range s {
+		if n == len(buf) {
+			return []rune(s)
+		}
+		buf[n] = r
+		n++
+	}
+	return buf[:n]
 }
 
 // matchCase applies the original token's leading-capital pattern to the

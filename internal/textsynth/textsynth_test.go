@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"serd/internal/datagen"
+	"serd/internal/perturb"
 	"serd/internal/simfn"
 )
 
@@ -177,5 +178,83 @@ func TestSynthesizedHighTargetStaysInVocabulary(t *testing.T) {
 	}
 	if frac := float64(oov) / float64(total); frac > 0.25 {
 		t.Errorf("%.0f%% of synthesized tokens are out of vocabulary", 100*frac)
+	}
+}
+
+// repairTokensRef is repairTokens written with simfn.EditDistance on
+// every vocabulary word — the form the stack-rune search must reproduce.
+func repairTokensRef(rs *RuleSynthesizer, s string) string {
+	toks := strings.Fields(s)
+	changed := false
+	for i, tok := range toks {
+		lower := strings.ToLower(tok)
+		if rs.vocab[lower] || len(lower) < 3 {
+			continue
+		}
+		best, bestD := "", 3
+		for _, v := range rs.vocabList {
+			if abs := len(v) - len(lower); abs > 2 || abs < -2 {
+				continue
+			}
+			if d := simfn.EditDistance(lower, v); d < bestD {
+				best, bestD = v, d
+				if d == 1 {
+					break
+				}
+			}
+		}
+		if best != "" {
+			toks[i] = matchCase(tok, best)
+			changed = true
+		}
+	}
+	if !changed {
+		return s
+	}
+	return strings.Join(toks, " ")
+}
+
+// TestRepairTokensMatchesReference checks repairTokens against
+// repairTokensRef on perturbed corpus text with non-ASCII capitals,
+// invalid UTF-8 and tokens longer than the stack buffers.
+func TestRepairTokensMatchesReference(t *testing.T) {
+	corpus := corpusFixture(t)
+	long := strings.Repeat("Über", 16) + "x"
+	corpus = append(corpus, "Über dİe \xffdata fusion", long, long+"yz", strings.Repeat("é", 70))
+	rs, err := NewRuleSynthesizer(simfn.QGramJaccard{Q: 3, Fold: true}, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(4))
+	extra := []string{"Übr", "dİee", "\xffdat", "dta\xfe", long + "q", strings.Repeat("é", 69) + "e", "ÄRGER\xc3"}
+	for trial := 0; trial < 400; trial++ {
+		s := corpus[r.Intn(len(corpus))]
+		for k := r.Intn(3); k > 0; k-- {
+			s = perturb.Typo(perturb.DeleteChar(s, r), r)
+		}
+		if r.Intn(3) == 0 {
+			s += " " + extra[r.Intn(len(extra))]
+		}
+		if got, want := rs.repairTokens(s), repairTokensRef(rs, s); got != want {
+			t.Fatalf("repairTokens(%q) = %q, reference %q", s, got, want)
+		}
+	}
+}
+
+// BenchmarkRepairTokens measures the vocabulary snap of one edit-walk
+// candidate with two misspelled tokens against a DBLP-ACM title corpus.
+func BenchmarkRepairTokens(b *testing.B) {
+	gen, err := datagen.Scholar(datagen.Config{Seed: 1, SizeA: 20, SizeB: 20, Matches: 5, BackgroundPerColumn: 120})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs, err := NewRuleSynthesizer(simfn.QGramJaccard{Q: 3, Fold: true}, gen.Background["title"])
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := "Adaptve Query Optimizaton for Relational Databases"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rs.repairTokens(s)
 	}
 }

@@ -152,7 +152,8 @@ func BuildPairs(corpus []string, sim simfn.Func, buckets, perBucket int, r *rand
 		for len(out[bk]) < perBucket && attempts < perBucket*20 {
 			attempts++
 			a := corpus[r.Intn(len(corpus))]
-			b, s := perturb.TowardSimilarity(a, center, 0.05, sim.Sim, 150, r)
+			simA := simfn.Bind(sim, a)
+			b, s := perturb.TowardSimilarity(a, center, 0.05, func(_, c string) float64 { return simA(c) }, 150, r)
 			if Bucket(s, buckets) == bk && a != b {
 				out[bk] = append(out[bk], Pair{S: a, T: b, Sim: s})
 			}
